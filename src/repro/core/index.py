@@ -71,6 +71,7 @@ class MASTIndex:
         estimates: dict[tuple[int, int], MotionEstimate],
         detections: dict[int, ObjectArray],
         spatial_index=None,
+        match_max_distance: float | None = None,
     ) -> None:
         self.n_frames = int(n_frames)
         self.timestamps = np.asarray(timestamps, dtype=float)
@@ -84,6 +85,8 @@ class MASTIndex:
         #: Optional :class:`~repro.spatial.SpatialTileIndex` over the
         #: flat columns; spatial count series route through it.
         self.spatial_index = spatial_index
+        #: The matching gate the ST-PC estimates were computed under.
+        self.match_max_distance = match_max_distance
         self._count_cache: dict[ObjectFilter, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -109,7 +112,11 @@ class MASTIndex:
         the prior index and its invalidation boundary so the spatial tile
         index updates incrementally — keeping its split geometry and the
         count-summary entries for frames ``<= boundary`` — instead of
-        rebuilding from scratch.
+        rebuilding from scratch.  ``previous`` also lends its ST-PC
+        estimates: a gap whose two detection objects and timestamps are
+        the very ones its estimate was computed from, under the same
+        matching gate, keeps that estimate, since Alg. 1 would return the
+        same result; only the other gaps are analyzed again.
         """
         config = config or MASTConfig()
         ledger = ledger if ledger is not None else result.ledger
@@ -121,6 +128,12 @@ class MASTIndex:
         position_parts: list[np.ndarray] = []
         score_parts: list[np.ndarray] = []
         estimates: dict[tuple[int, int], MotionEstimate] = {}
+        reusable = (
+            previous._estimates
+            if previous is not None
+            and previous.match_max_distance == config.match_max_distance
+            else {}
+        )
 
         with ledger.measure(STAGE_INDEX):
             ledger.charge(
@@ -145,13 +158,24 @@ class MASTIndex:
                 start, end = int(start), int(end)
                 if end - start <= 1:
                     continue
-                estimate = analyze_pair(
-                    result.detections[start],
-                    result.detections[end],
-                    float(timestamps[start]),
-                    float(timestamps[end]),
-                    max_distance=config.match_max_distance,
-                )
+                objects_start = result.detections[start]
+                objects_end = result.detections[end]
+                t_start, t_end = float(timestamps[start]), float(timestamps[end])
+                estimate = reusable.get((start, end))
+                if not (
+                    estimate is not None
+                    and estimate.objects_start is objects_start
+                    and estimate.objects_end is objects_end
+                    and estimate.t_start == t_start
+                    and estimate.t_end == t_end
+                ):
+                    estimate = analyze_pair(
+                        objects_start,
+                        objects_end,
+                        t_start,
+                        t_end,
+                        max_distance=config.match_max_distance,
+                    )
                 estimates[(start, end)] = estimate
                 interior = np.arange(start + 1, end, dtype=np.int64)
                 local_idx, labels, positions, scores = estimate.predict_flat(
@@ -210,6 +234,7 @@ class MASTIndex:
             estimates=estimates,
             detections=result.detections,
             spatial_index=spatial_index,
+            match_max_distance=config.match_max_distance,
         )
 
     # ------------------------------------------------------------------

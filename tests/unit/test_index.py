@@ -1,5 +1,7 @@
 """Unit tests for the MAST index (Alg. 3) and count providers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from repro.core import (
     STCountProvider,
 )
 from repro.query import ObjectFilter, SpatialPredicate
-from repro.utils.timing import STAGE_INDEX
+from repro.utils.timing import STAGE_INDEX, CostLedger
 
 
 @pytest.fixture(scope="module")
@@ -220,3 +222,123 @@ class TestBatchedSeriesAPI:
         assert np.array_equal(
             primed.count_series(CAR_NEAR), cold.count_series(CAR_NEAR)
         )
+
+
+# ----------------------------------------------------------------------
+# Incremental build: the extend path hands the prior index over, and
+# gaps whose inputs are the very same objects keep their estimates.
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def extend_chain(detector):
+    """A pipeline fit on 120 frames and extended three times by 40."""
+    from repro.core import MASTPipeline
+    from repro.simulation import semantickitti_like
+
+    full = semantickitti_like(0, n_frames=240, with_points=False)
+    config = MASTConfig(seed=4)
+    pipe = MASTPipeline(config).fit(full.head(120, name=full.name), detector)
+    steps = [(pipe.sampling_result, pipe.index)]
+    for start in (120, 160, 200):
+        pipe.extend(list(full[start : start + 40]))
+        steps.append((pipe.sampling_result, pipe.index))
+    return config, steps
+
+
+def _interior_gaps(result):
+    ids = [int(i) for i in result.sampled_ids]
+    return [(start, end) for start, end in zip(ids[:-1], ids[1:]) if end - start > 1]
+
+
+def _count_analyze_pair(monkeypatch):
+    from repro.core import index as index_module
+
+    calls = []
+    original = index_module.analyze_pair
+
+    def counting(objects_start, objects_end, *args, **kwargs):
+        calls.append((objects_start, objects_end))
+        return original(objects_start, objects_end, *args, **kwargs)
+
+    monkeypatch.setattr(index_module, "analyze_pair", counting)
+    return calls
+
+
+def _same_inputs(estimate, result, start, end):
+    return (
+        estimate.objects_start is result.detections[start]
+        and estimate.objects_end is result.detections[end]
+    )
+
+
+class TestIncrementalBuild:
+    def test_extended_index_equals_scratch_build(self, extend_chain):
+        config, steps = extend_chain
+        for result, incremental in steps[1:]:
+            scratch = MASTIndex.build(result, config, ledger=CostLedger())
+            for column in ("_frame_index", "_labels", "_positions", "_scores"):
+                got, want = getattr(incremental, column), getattr(scratch, column)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), column
+            assert incremental._estimates.keys() == scratch._estimates.keys()
+            for gap, want in scratch._estimates.items():
+                got = incremental._estimates[gap]
+                assert got.matched_pairs == want.matched_pairs
+                assert got.velocities.tobytes() == want.velocities.tobytes()
+
+    def test_extend_reuses_estimates_of_unchanged_gaps(self, extend_chain):
+        _, steps = extend_chain
+        reused_total = 0
+        for (_, before), (result, after) in zip(steps, steps[1:]):
+            for gap, estimate in after._estimates.items():
+                prior = before._estimates.get(gap)
+                if prior is not None and _same_inputs(prior, result, *gap):
+                    assert estimate is prior
+                    reused_total += 1
+                else:
+                    assert estimate is not prior
+        assert reused_total > 0
+
+    def test_analyze_pair_runs_only_for_changed_gaps(self, extend_chain, monkeypatch):
+        config, steps = extend_chain
+        (_, previous), (result, _) = steps[-2], steps[-1]
+        gaps = _interior_gaps(result)
+        fresh = [
+            gap
+            for gap in gaps
+            if gap not in previous._estimates
+            or not _same_inputs(previous._estimates[gap], result, *gap)
+        ]
+        assert 0 < len(fresh) < len(gaps)
+        calls = _count_analyze_pair(monkeypatch)
+        MASTIndex.build(result, config, ledger=CostLedger(), previous=previous)
+        assert len(calls) == len(fresh)
+
+    def test_swapped_detection_object_is_recomputed(self, extend_chain, monkeypatch):
+        config, steps = extend_chain
+        result, previous = steps[-1]
+        gaps = _interior_gaps(result)
+        start, end = gaps[len(gaps) // 2]
+        swapped = dict(result.detections)
+        objects = swapped[end]
+        # An equal copy under a new identity: the build cannot know it is
+        # unchanged, so the gaps on both sides of ``end`` are redone.
+        swapped[end] = objects.filter(np.ones(len(objects), dtype=bool))
+        changed = dataclasses.replace(result, detections=swapped)
+        calls = _count_analyze_pair(monkeypatch)
+        rebuilt = MASTIndex.build(changed, config, ledger=CostLedger(), previous=previous)
+        touching = [gap for gap in gaps if end in gap]
+        assert len(calls) == len(touching)
+        for gap in gaps:
+            if end in gap:
+                assert rebuilt._estimates[gap] is not previous._estimates[gap]
+            else:
+                assert rebuilt._estimates[gap] is previous._estimates[gap]
+        assert rebuilt._estimates[(start, end)].objects_end is swapped[end]
+
+    def test_other_matching_gate_recomputes_every_gap(self, extend_chain, monkeypatch):
+        config, steps = extend_chain
+        result, previous = steps[-1]
+        calls = _count_analyze_pair(monkeypatch)
+        gated = config.with_overrides(match_max_distance=5.0)
+        MASTIndex.build(result, gated, ledger=CostLedger(), previous=previous)
+        assert len(calls) == len(_interior_gaps(result))

@@ -1,5 +1,11 @@
 """Unit tests for the MASTPipeline facade."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -189,3 +195,39 @@ class TestExtendFrameIdAlignment:
         # at bracketing sampled frames, all of which were preserved.
         kept = pipe.sampling_result.sampled_ids
         assert set(map(int, old_ids[old_ids <= boundary])) <= set(map(int, kept))
+
+
+class TestRuntimeImports:
+    """The fit/extend/query path must not load scipy.
+
+    Importing ``scipy.optimize`` costs tens of MiB of resident memory and
+    about half a second per process, and every serving worker builds
+    indexes at warm-up.  Only the tests use scipy, as an oracle.
+    """
+
+    def test_fit_extend_query_stay_scipy_free(self):
+        code = textwrap.dedent(
+            """
+            import sys
+            from repro import MASTConfig, MASTPipeline
+            from repro.models import pv_rcnn
+            from repro.simulation import semantickitti_like
+
+            full = semantickitti_like(0, n_frames=120, with_points=False)
+            pipe = MASTPipeline(MASTConfig(seed=4)).fit(
+                full.head(80, name=full.name), pv_rcnn(seed=7)
+            )
+            pipe.extend(list(full[80:120]))
+            pipe.query("SELECT FRAMES WHERE COUNT(Car DIST <= 20) >= 1")
+            pipe.query("SELECT AVG OF COUNT(Car)")
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert not loaded, f"runtime path imported {loaded}"
+            """
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
